@@ -27,12 +27,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Engine-specific gate: race-check the batched engine and smoke both fuzz
-# targets (oracle-differential batch replay and entry-cache invalidation).
+# Engine-specific gate: race-check the batched engine at one and four
+# cores (batch answers must not depend on pool scheduling) and smoke the
+# fuzz targets (oracle-differential batch replay, the entry cache against
+# its model, and flush invalidation against the dynamic.Find oracle).
 test-engine:
-	$(GO) test -race ./internal/engine/...
+	$(GO) test -race -cpu 1,4 ./internal/engine/...
 	$(GO) test -run='^$$' -fuzz=FuzzBatchSearch -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzEntryCache -fuzztime=10s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzFlushInvalidation -fuzztime=10s ./internal/engine
 
 # Persistence gate: the snapshot round-trip/corruption suite and the disk
 # fault injector's own tests, plus a short fuzz smoke of the snapshot

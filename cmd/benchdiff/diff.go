@@ -30,9 +30,11 @@ func loadBench(path string) (benchFile, error) {
 
 // tolerance holds the relative slack per metric class. Step counts come
 // from the deterministic simulator (seeded workloads, executor-independent
-// by the differential tests), so their tolerance defaults to exact;
-// throughput rates depend on concurrent cache-fill order and get generous
-// slack. Latency covers host-clock ns/op columns (E22's flat-vs-pointer
+// by the differential tests), so their tolerance defaults to exact; the
+// throughput class, which mixes simulated queries/step with E23's
+// host-clock build speedups, gets generous slack. Entry-cache hit rates
+// have no knob at all: batches apply their cache effects in query order,
+// so a seeded run reproduces its hit rate exactly. Latency covers host-clock ns/op columns (E22's flat-vs-pointer
 // hot path), which vary with the machine running the gate — the default
 // slack is very generous, so only an order-of-magnitude regression fails.
 type tolerance struct {
@@ -58,8 +60,11 @@ var (
 	}
 	throughputFields = map[string]bool{
 		"queries_per_step": true, "sequential_queries_per_step": true,
-		"cache_hit_rate": true, "build_speedup": true,
+		"build_speedup": true,
 	}
+	// Hit rates regress downward with no slack: they depend only on the
+	// seeded workload, never on how the pool scheduled a batch.
+	hitRateFields = map[string]bool{"cache_hit_rate": true}
 	// Host-clock latencies regress upward under the generous Latency slack;
 	// allocation counts regress upward with no slack at all — the flat hot
 	// path's zero allocs/op is a statement, and one malloc per op is the
@@ -74,7 +79,7 @@ var (
 	// machine-normalized — both arms run on the gating machine — so its
 	// slack prices measurement noise, not hardware variance.
 	telemetryFields = map[string]bool{"telemetry_overhead_ratio": true}
-	allocFields = map[string]bool{"flat_allocs_per_op": true, "wall_allocs_per_op": true}
+	allocFields     = map[string]bool{"flat_allocs_per_op": true, "wall_allocs_per_op": true}
 	// Host-clock construction times (E23) regress upward under their own
 	// slack: like the latency class they vary with the gating machine, but
 	// a separate knob (-build-tol, BENCH_BUILD_TOL) lets CI track build
@@ -149,6 +154,11 @@ func compare(base, cand benchFile, tol tolerance) []string {
 				if cv < bv*(1-tol.Throughput)-1e-9 {
 					fail("row %d (%s): %s regressed %.4f -> %.4f (tol %.0f%%)",
 						i, rowKey(br), f, bv, cv, 100*tol.Throughput)
+				}
+			case hitRateFields[f]:
+				if cv < bv-1e-9 {
+					fail("row %d (%s): %s regressed %.4f -> %.4f (hit rates are deterministic: exact, lower is worse)",
+						i, rowKey(br), f, bv, cv)
 				}
 			case latencyFields[f]:
 				if cv > bv*(1+tol.Latency)+1e-9 {

@@ -131,6 +131,29 @@ func TestCompareThroughputDirection(t *testing.T) {
 	}
 }
 
+// TestCompareHitRateExact: E20's cache hit rate is deterministic, so it
+// gets no slack — the smallest dip fails even under the throughput
+// tolerance, while a higher rate passes.
+func TestCompareHitRateExact(t *testing.T) {
+	base := loadBaseline(t, "E20")
+	shift := func(d float64) benchFile {
+		c := cloneRows(base)
+		for _, row := range c.Rows {
+			if v, ok := num(row["cache_hit_rate"]); ok && v > 0 {
+				row["cache_hit_rate"] = v + d
+			}
+		}
+		return c
+	}
+	tol := tolerance{Throughput: 0.35}
+	if regs := compare(base, shift(-0.001), tol); len(regs) == 0 {
+		t.Fatal("hit-rate dip of 0.001 passed")
+	}
+	if regs := compare(base, shift(0.01), tol); len(regs) != 0 {
+		t.Fatalf("hit-rate gain flagged: %v", regs)
+	}
+}
+
 // TestCompareExactAndIdentityFields: the Snir lower bound may not drift in
 // either direction, and identity-field changes invalidate the comparison.
 func TestCompareExactAndIdentityFields(t *testing.T) {

@@ -100,12 +100,18 @@ func (st *Structure) SearchImplicit(y catalog.Key, branch BranchFunc, p int) ([]
 // position pos at the block root, via the Lemma 3 window recurrence. It
 // returns the per-local-node positions and the processor-slot demand.
 // It is exported for searches with non-basic branch functions — point
-// location builds its own hop on top of it.
-func (st *Structure) FindAllInBlock(sub *Substructure, block *Block, y catalog.Key, pos int) ([]int32, int64, error) {
+// location builds its own hop on top of it. The positions are written into
+// dst's backing array when it is large enough, so a caller reusing dst
+// across hops allocates nothing; nil dst allocates.
+func (st *Structure) FindAllInBlock(dst []int32, sub *Substructure, block *Block, y catalog.Key, pos int) ([]int32, int64, error) {
 	j, offset := block.sampleFor(pos, sub.S)
 	kp := block.KeyPos[j]
 
-	findPos := make([]int32, len(block.Nodes))
+	findPos := dst[:0]
+	if cap(findPos) < len(block.Nodes) {
+		findPos = make([]int32, len(block.Nodes))
+	}
+	findPos = findPos[:len(block.Nodes)]
 	findPos[0] = int32(pos)
 	hopSlots := int64(sub.S)
 	// Window slack per block level (identical recurrence for all nodes of
@@ -135,7 +141,7 @@ func (st *Structure) FindAllInBlock(sub *Substructure, block *Block, y catalog.K
 // resolves the block-internal path, appends its results, and returns the
 // exit node with its successor position.
 func (st *Structure) hopImplicit(sub *Substructure, block *Block, y catalog.Key, pos int, branch BranchFunc, results *[]cascade.Result, stats *Stats) (tree.NodeID, int, error) {
-	findPos, hopSlots, err := st.FindAllInBlock(sub, block, y, pos)
+	findPos, hopSlots, err := st.FindAllInBlock(nil, sub, block, y, pos)
 	if err != nil {
 		return tree.Nil, 0, err
 	}

@@ -66,7 +66,7 @@ func TestSharedPoolIntroducesNoConflicts(t *testing.T) {
 				errs[i] = err
 			}
 		}
-		pool.Run(tasks)
+		pool.RunIndexed(len(tasks), funcTasks(tasks))
 		return mems, reps, errs
 	}
 	pooledMems, pooledReps, pooledErrs := run(NewPool(8))
@@ -124,7 +124,7 @@ func TestPoolPreservesModelRejection(t *testing.T) {
 			steps[i] = m.Time()
 		}
 	}
-	pool.Run(tasks)
+	pool.RunIndexed(len(tasks), funcTasks(tasks))
 	for i := 0; i < b; i++ {
 		if errs[i] == nil {
 			t.Fatalf("query %d: EREW machine accepted a CREW program", i)

@@ -16,16 +16,26 @@
 // batch — throughput in queries/step grows almost linearly in b, which is
 // exactly what experiment E20 measures.
 //
-// Two locality mechanisms ride on top. A per-shard LRU entry-point cache
-// remembers recently resolved cascade entry positions keyed by query-path
-// prefix (the entry node) and key interval; batches with key locality skip
-// the top-of-skeleton entry rounds and pay one verification step. The
-// catalog graph may also be sharded into independent substructures
-// (CatalogBackend per shard), which the pool serves concurrently with no
-// shared state. Dynamic backends invalidate the cache across Flush via the
-// generation counter of internal/dynamic; hits additionally re-validate
-// the hinted position in O(1) against the live catalog, so a stale hit is
-// impossible even if a generation check were bypassed.
+// Two locality mechanisms ride on top. A per-shard exact-LRU entry-point
+// cache remembers recently resolved cascade entry positions keyed by
+// query-path prefix (the entry node) and key interval, with O(1) eviction;
+// batches with key locality skip the top-of-skeleton entry rounds and pay
+// one verification step. The catalog graph may also be sharded into
+// independent substructures (CatalogBackend per shard), which the pool
+// serves concurrently with no shared state. Dynamic backends invalidate the
+// cache across Flush via the generation counter of internal/dynamic; hits
+// additionally re-validate the hinted position in O(1) against the live
+// catalog, so a stale hit is impossible even if a generation check were
+// bypassed.
+//
+// A batch sees the caches with snapshot-then-apply semantics: every query
+// looks up the state from batch start, and the batch's hits, misses and
+// fills apply after it in query order, so fills are visible from the next
+// batch and answers, reports and cache counters never depend on how the
+// pool scheduled the queries. Queries are dispatched to the pool by index,
+// and Answer.PhaseSteps maps are interned, shared and read-only, so the
+// default serving path does no heap work per query beyond each catalog
+// answer's Results slice.
 package engine
 
 import (
@@ -106,7 +116,7 @@ type Answer struct {
 	// Steps is the simulated parallel time of this query.
 	Steps int
 	// CacheHit reports whether a catalog query entered through the
-	// entry-point cache.
+	// entry-point cache, as it stood when the query's batch started.
 	CacheHit bool
 	// CacheStale reports a cache lookup that hit but whose hinted position
 	// failed O(1) revalidation (a flush raced the lookup); the query fell
@@ -122,7 +132,9 @@ type Answer struct {
 	// rounds), "hop-descent" (block-jump steps), "seq-tail" (sequential
 	// levels); spatial queries: "discrim" (per-node discrimination rounds)
 	// and "descent" (the rest). Values sum to Steps; zero phases are
-	// omitted. Nil on error.
+	// omitted. Nil on error. The map is interned — one per distinct
+	// decomposition, shared by every answer with that decomposition — so
+	// it is read-only: callers must copy it before modifying.
 	PhaseSteps map[string]int
 	// Rounds is the query's cooperative root-search round count (catalog
 	// and planar queries: Stats.RootRounds; spatial: the summed per-node
@@ -245,6 +257,8 @@ type Engine struct {
 	sp     spatialBackend
 	pool   *Pool
 
+	phases phaseIntern // Answer.PhaseSteps maps
+
 	mu      sync.Mutex
 	pending []Query
 	queries uint64
@@ -342,11 +356,11 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 		}
 	}
 	e := &Engine{
-		cfg:    cfg,
-		shards: shards,
-		caches: make([]*entryCache, len(shards)),
-		pl:     pl,
-		sp:     spb,
+		cfg:      cfg,
+		shards:   shards,
+		caches:   make([]*entryCache, len(shards)),
+		pl:       pl,
+		sp:       spb,
 		pool:     NewPool(cfg.Workers),
 		tracer:   cfg.Tracer,
 		recorder: cfg.Recorder,
@@ -392,8 +406,11 @@ func (e *Engine) Pool() *Pool { return e.pool }
 
 // ExecuteBatch runs the queries as one batch: each gets a disjoint group of
 // max(1, Procs/len(qs)) simulated processors and all run concurrently on
-// the pool. Per-query failures land in the answers; the error return is
-// reserved for empty batches.
+// the pool (a one-query batch runs on the calling goroutine). Every query
+// looks up the entry caches as they stood at batch start; the batch's
+// cache effects apply after it in query order, so entries it fills serve
+// hits from the next batch on. Per-query failures land in the answers;
+// the error return is reserved for empty batches.
 func (e *Engine) ExecuteBatch(qs []Query) ([]Answer, BatchReport, error) {
 	return e.execute(nil, qs)
 }
@@ -424,12 +441,21 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 		pShare = 1
 	}
 	answers := make([]Answer, len(qs))
-	tasks := make([]func(), len(qs))
-	for i := range qs {
-		i := i
-		tasks[i] = func() { answers[i] = e.runQuery(ctx, qs[i], pShare, true) }
+	b := batchPool.Get().(*batchRun)
+	*b = batchRun{e: e, ctx: ctx, qs: qs, answers: answers, pShare: pShare, views: b.views[:0], effects: b.effects[:0]}
+	if e.cachesUsed(qs) {
+		for _, c := range e.caches {
+			b.views = append(b.views, c.snapshot())
+		}
+		b.effects = append(b.effects, make([]cacheEffect, len(qs))...)
 	}
-	e.pool.Run(tasks)
+	e.pool.RunIndexed(len(qs), b)
+	if len(b.effects) > 0 {
+		e.applyEffects(qs, b.effects)
+	}
+	clear(b.views)
+	*b = batchRun{views: b.views[:0], effects: b.effects[:0]}
+	batchPool.Put(b)
 	if reqID := obs.RequestIDFrom(ctx); reqID != "" {
 		for i := range answers {
 			answers[i].RequestID = reqID
@@ -462,6 +488,68 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 	e.mu.Unlock()
 	e.observeBatch(answers, rep, stepBase, wallStart)
 	return answers, rep, nil
+}
+
+// batchRun is one executing batch, dispatched to the pool by query index.
+type batchRun struct {
+	e       *Engine
+	ctx     context.Context
+	qs      []Query
+	answers []Answer
+	// views holds each shard cache's view at batch start and effects one
+	// cache effect per query; both are empty when no cache is consulted.
+	views   []*cacheView
+	effects []cacheEffect
+	pShare  int
+}
+
+// RunTask implements Task.
+func (b *batchRun) RunTask(i int) {
+	var eff *cacheEffect
+	if len(b.effects) > 0 {
+		eff = &b.effects[i]
+	}
+	b.e.runQuery(b.ctx, &b.answers[i], b.qs[i], b.pShare, b.views, eff)
+}
+
+// batchPool recycles batch state, effect buffers included.
+var batchPool = sync.Pool{New: func() any { return new(batchRun) }}
+
+// cachesUsed reports whether any query of the batch consults an entry
+// cache, i.e. whether the batch must snapshot and then apply.
+func (e *Engine) cachesUsed(qs []Query) bool {
+	if len(e.caches) == 0 || e.cfg.CacheSize < 0 {
+		return false
+	}
+	for i := range qs {
+		if qs[i].Kind == KindCatalog {
+			return true
+		}
+	}
+	return false
+}
+
+// applyEffects folds a finished batch's cache effects into the shard
+// caches in query index order, one locked pass per cache, and publishes
+// each changed cache's next view.
+func (e *Engine) applyEffects(qs []Query, effects []cacheEffect) {
+	for s, c := range e.caches {
+		locked := false
+		for i := range effects {
+			if !effects[i].looked || qs[i].Shard != s {
+				continue
+			}
+			if !locked {
+				c.mu.Lock()
+				locked = true
+			}
+			c.apply(&effects[i])
+		}
+		if locked {
+			c.publish()
+			c.mu.Unlock()
+		}
+	}
 }
 
 // observeBatch mirrors a finished batch into the metrics registry and
@@ -598,7 +686,7 @@ func (e *Engine) ExecuteSequential(qs []Query) ([]Answer, int, error) {
 	answers := make([]Answer, len(qs))
 	total := 0
 	for i := range qs {
-		answers[i] = e.runQuery(nil, qs[i], e.cfg.Procs, false)
+		e.runQuery(nil, &answers[i], qs[i], e.cfg.Procs, nil, nil)
 		total += answers[i].Steps
 	}
 	return answers, total, nil
@@ -642,51 +730,86 @@ func (e *Engine) Flush() ([]Answer, []BatchReport, error) {
 	return answers, reports, nil
 }
 
+// phaseKey is a phase decomposition: steps per label, in phaseOrder.
+type phaseKey [len(phaseOrder)]int32
+
+// maxInternedPhases bounds the intern table; decompositions past it get a
+// private map.
+const maxInternedPhases = 1 << 12
+
+// phaseIntern holds one read-only PhaseSteps map per distinct
+// decomposition. Readers load the published table without locking; a new
+// decomposition republishes a copy under mu. The set is small — step
+// counts are bounded by the structure heights — so copies are rare.
+type phaseIntern struct {
+	mu    sync.Mutex
+	table atomic.Pointer[map[phaseKey]map[string]int]
+}
+
+// phaseMap returns the shared map for k, with zero phases omitted so empty
+// components don't clutter spans.
+func (pi *phaseIntern) phaseMap(k phaseKey) map[string]int {
+	if t := pi.table.Load(); t != nil {
+		if m, ok := (*t)[k]; ok {
+			return m
+		}
+	}
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	var old map[phaseKey]map[string]int
+	if t := pi.table.Load(); t != nil {
+		old = *t
+		if m, ok := old[k]; ok {
+			return m
+		}
+	}
+	m := make(map[string]int, 3)
+	for i, n := range k {
+		if n > 0 {
+			m[phaseOrder[i]] = int(n)
+		}
+	}
+	if len(old) >= maxInternedPhases {
+		return m
+	}
+	next := make(map[phaseKey]map[string]int, len(old)+1)
+	for key, v := range old {
+		next[key] = v
+	}
+	next[k] = m
+	pi.table.Store(&next)
+	return m
+}
+
 // catalogPhases decomposes a catalog/planar search's step count by the
 // Stats identity Steps = RootRounds + hop steps + SeqLevels (checked by
-// the cost-model tests); zero phases are omitted so empty components don't
-// clutter spans.
-func catalogPhases(s core.Stats) map[string]int {
+// the cost-model tests).
+func (pi *phaseIntern) catalogPhases(s core.Stats) map[string]int {
 	hop := s.Steps - s.RootRounds - s.SeqLevels
 	if hop < 0 {
 		hop = 0
 	}
-	m := make(map[string]int, 3)
-	if s.RootRounds > 0 {
-		m["root-coop"] = s.RootRounds
-	}
-	if hop > 0 {
-		m["hop-descent"] = hop
-	}
-	if s.SeqLevels > 0 {
-		m["seq-tail"] = s.SeqLevels
-	}
-	return m
+	return pi.phaseMap(phaseKey{int32(s.RootRounds), int32(hop), int32(s.SeqLevels)})
 }
 
 // spatialPhases decomposes a spatial location into the per-node planar
 // discrimination rounds and the remaining descent steps.
-func spatialPhases(s spatial.Stats) map[string]int {
+func (pi *phaseIntern) spatialPhases(s spatial.Stats) map[string]int {
 	discrim := s.DiscrimRounds
 	if discrim > s.Steps {
 		discrim = s.Steps
 	}
-	m := make(map[string]int, 2)
-	if discrim > 0 {
-		m["discrim"] = discrim
-	}
-	if rest := s.Steps - discrim; rest > 0 {
-		m["descent"] = rest
-	}
-	return m
+	return pi.phaseMap(phaseKey{3: int32(discrim), 4: int32(s.Steps - discrim)})
 }
 
-// runQuery executes one query with processor share p. useCache gates the
-// entry-point cache (the sequential baseline runs without it). A nil ctx
-// selects the plain uncancellable search paths; a non-nil ctx is checked
-// up front and threaded into each backend's context-aware variant.
-func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a Answer) {
-	a = Answer{Query: q, P: p}
+// runQuery executes one query with processor share p into a. A non-nil
+// eff looks the entry up in views (each shard cache's view at batch
+// start) and records the query's cache effect there; the sequential
+// baseline passes nil and runs without the cache. A nil ctx selects the
+// plain uncancellable search paths; a non-nil ctx is checked up front and
+// threaded into each backend's context-aware variant.
+func (e *Engine) runQuery(ctx context.Context, a *Answer, q Query, p int, views []*cacheView, eff *cacheEffect) {
+	*a = Answer{Query: q, P: p}
 	// Per-query clock readings are paid only when a flight recorder wants
 	// the wall time; the uninstrumented path stays free of time syscalls.
 	if e.recorder != nil {
@@ -696,16 +819,16 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			a.Err = err
-			return a
+			return
 		}
 	}
 	switch q.Kind {
 	case KindCatalog:
-		e.runCatalog(ctx, &a, q, p, useCache)
+		e.runCatalog(ctx, a, q, p, views, eff)
 	case KindPoint:
 		if e.pl == nil {
 			a.Err = fmt.Errorf("engine: no point-location backend configured")
-			return a
+			return
 		}
 		var (
 			region int
@@ -719,12 +842,12 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 		}
 		a.Region, a.Steps, a.Rounds, a.Err = region, stats.Steps, stats.RootRounds, err
 		if err == nil {
-			a.PhaseSteps = catalogPhases(stats)
+			a.PhaseSteps = e.phases.catalogPhases(stats)
 		}
 	case KindSpatial:
 		if e.sp == nil {
 			a.Err = fmt.Errorf("engine: no spatial backend configured")
-			return a
+			return
 		}
 		var (
 			cell  int
@@ -738,19 +861,20 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 		}
 		a.Cell, a.Steps, a.Rounds, a.Err = cell, stats.Steps, stats.DiscrimRounds, err
 		if err == nil {
-			a.PhaseSteps = spatialPhases(stats)
+			a.PhaseSteps = e.phases.spatialPhases(stats)
 		}
 	default:
 		a.Err = fmt.Errorf("engine: unknown query kind %d", q.Kind)
 	}
-	return a
 }
 
-// runCatalog executes a catalog query, consulting and filling the shard's
-// entry cache. A non-nil ctx makes the cache-miss search cancellable; the
-// cache-hit path runs uncancellable because the hint already skips the
-// cooperative entry rounds the guard exists to bound.
-func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useCache bool) {
+// runCatalog executes a catalog query. With a non-nil eff it looks the
+// entry up in the shard cache's batch-start view and records the hit,
+// miss, finger hit and fill in eff for the post-batch apply. A non-nil ctx
+// makes the cache-miss search cancellable; the cache-hit path runs
+// uncancellable because the hint already skips the cooperative entry
+// rounds the guard exists to bound.
+func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, views []*cacheView, eff *cacheEffect) {
 	if q.Shard < 0 || q.Shard >= len(e.shards) {
 		a.Err = fmt.Errorf("engine: catalog shard %d out of range [0, %d)", q.Shard, len(e.shards))
 		return
@@ -760,14 +884,16 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 		return
 	}
 	be := e.shards[q.Shard]
-	cache := e.caches[q.Shard]
-	if useCache {
+	if eff != nil {
+		view := views[q.Shard]
 		gen := be.Generation()
-		if pos, ok := cache.lookup(q.Path[0], q.Key, gen); ok {
-			results, stats, used, err := be.SearchExplicitWithEntry(q.Key, q.Path, p, pos)
+		eff.looked, eff.gen = true, gen
+		if ent, ok := view.probe(q.Path[0], q.Key, gen); ok {
+			eff.hit, eff.slot, eff.stamp = true, ent.slot, ent.stamp
+			results, stats, used, err := be.SearchExplicitWithEntry(q.Key, q.Path, p, ent.pos)
 			a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 			if err == nil {
-				a.PhaseSteps = catalogPhases(stats)
+				a.PhaseSteps = e.phases.catalogPhases(stats)
 			}
 			if used {
 				a.CacheHit = true
@@ -777,15 +903,14 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 			// The hint failed validation (a flush raced between the
 			// generation read and the search): the full entry search
 			// already ran inside SearchExplicitWithEntry, so the answer
-			// stands; just refresh the cached slot below.
-			if err != nil {
-				return
+			// stands; just refresh the cached slot.
+			if err == nil {
+				fillEntry(be, eff, q)
 			}
-			e.fillEntry(be, cache, q)
 			return
 		}
 		if e.cfg.FingerCache {
-			if finger, dist, ok := cache.nearest(q.Path[0], q.Key, gen); ok {
+			if finger, dist, ok := view.nearest(q.Path[0], q.Key, gen); ok {
 				// Exact miss with a nearby cached entry: gallop from the
 				// finger instead of paying the cooperative root search.
 				// Like the hit path this runs uncancellable — the gallop
@@ -793,13 +918,13 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 				results, stats, used, err := be.SearchExplicitFromFinger(q.Key, q.Path, p, finger)
 				a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 				if err == nil {
-					a.PhaseSteps = catalogPhases(stats)
-					e.fillEntry(be, cache, q)
+					a.PhaseSteps = e.phases.catalogPhases(stats)
+					fillEntry(be, eff, q)
 				}
 				if used {
 					a.FingerHit = true
 					a.FingerDist = int64(dist)
-					cache.fingerHit()
+					eff.finger = true
 				}
 				return
 			}
@@ -817,24 +942,23 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 	}
 	a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 	if err == nil {
-		a.PhaseSteps = catalogPhases(stats)
-		if useCache {
-			e.fillEntry(be, cache, q)
+		a.PhaseSteps = e.phases.catalogPhases(stats)
+		if eff != nil {
+			fillEntry(be, eff, q)
 		}
 	}
 }
 
-// fillEntry caches the entry interval resolved for q. Host-side: it redoes
-// the O(log n) successor probe the search performed, which the PRAM cost
-// model already charged.
-func (e *Engine) fillEntry(be CatalogBackend, cache *entryCache, q Query) {
-	gen := be.Generation()
+// fillEntry records the entry interval resolved for q as eff's fill.
+// Host-side: it redoes the O(log n) successor probe the search performed,
+// which the PRAM cost model already charged.
+func fillEntry(be CatalogBackend, eff *cacheEffect, q Query) {
 	pos := be.EntryProbe(q.Path[0], q.Key)
 	lo, hi, err := be.EntryInterval(q.Path[0], pos)
 	if err != nil {
 		return
 	}
-	cache.insert(q.Path[0], lo, hi, pos, gen)
+	eff.fill, eff.node, eff.lo, eff.hi, eff.pos = true, q.Path[0], lo, hi, pos
 }
 
 // Metrics is a point-in-time snapshot of engine counters.

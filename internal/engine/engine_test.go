@@ -190,6 +190,12 @@ func (fx *fixture) checkAnswer(tb testing.TB, label string, q Query, a Answer) {
 	}
 }
 
+// funcTasks adapts a slice of closures to Task, so tests can hand the
+// pool ad-hoc work.
+type funcTasks []func()
+
+func (f funcTasks) RunTask(i int) { f[i]() }
+
 func TestPoolRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 32} {
 		pool := NewPool(workers)
@@ -200,7 +206,7 @@ func TestPoolRunsEveryTaskOnce(t *testing.T) {
 			i := i
 			tasks[i] = func() { counts[i].Add(1) }
 		}
-		pool.Run(tasks)
+		pool.RunIndexed(len(tasks), funcTasks(tasks))
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
@@ -235,44 +241,71 @@ func TestPoolStealsUnderSkew(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	pool.Run(tasks)
+	pool.RunIndexed(len(tasks), funcTasks(tasks))
 	if pool.Steals() == 0 {
 		t.Errorf("no steals recorded under a skewed load")
 	}
 }
 
+// lookupOne runs a lookup as a single-query batch: probe the published
+// view, then apply the query's hit or miss effect and publish.
+func lookupOne(c *entryCache, node tree.NodeID, y catalog.Key, gen uint64) (int, bool) {
+	ef := cacheEffect{looked: true, gen: gen}
+	ent, ok := c.snapshot().probe(node, y, gen)
+	if ok {
+		ef.hit, ef.slot, ef.stamp = true, ent.slot, ent.stamp
+	}
+	applyOne(c, &ef)
+	return ent.pos, ok
+}
+
+// fillOne applies a single-query batch that missed and filled
+// (lo, hi] → pos at node under gen.
+func fillOne(c *entryCache, node tree.NodeID, lo, hi catalog.Key, pos int, gen uint64) {
+	applyOne(c, &cacheEffect{looked: true, gen: gen, fill: true, node: node, lo: lo, hi: hi, pos: pos})
+}
+
+// applyOne applies one effect and publishes the next view, as the engine
+// does after a batch.
+func applyOne(c *entryCache, ef *cacheEffect) {
+	c.mu.Lock()
+	c.apply(ef)
+	c.publish()
+	c.mu.Unlock()
+}
+
 func TestEntryCacheBasics(t *testing.T) {
 	c := newEntryCache(3, nil, 0)
 	node := tree.NodeID(0)
-	c.insert(node, 10, 20, 4, 0)
-	if pos, ok := c.lookup(node, 15, 0); !ok || pos != 4 {
+	fillOne(c, node, 10, 20, 4, 0)
+	if pos, ok := lookupOne(c, node, 15, 0); !ok || pos != 4 {
 		t.Fatalf("lookup(15) = (%d, %v), want (4, true)", pos, ok)
 	}
-	if pos, ok := c.lookup(node, 20, 0); !ok || pos != 4 {
+	if pos, ok := lookupOne(c, node, 20, 0); !ok || pos != 4 {
 		t.Fatalf("lookup(20) = (%d, %v): hi is inclusive", pos, ok)
 	}
-	if _, ok := c.lookup(node, 10, 0); ok {
+	if _, ok := lookupOne(c, node, 10, 0); ok {
 		t.Fatal("lookup(10) hit: lo must be exclusive")
 	}
-	if _, ok := c.lookup(node, 21, 0); ok {
+	if _, ok := lookupOne(c, node, 21, 0); ok {
 		t.Fatal("lookup(21) hit outside interval")
 	}
 	// Fill to capacity and evict: slot (10,20] was most recently used via
 	// the hits above; (30,40] inserted then never touched is the LRU.
-	c.insert(node, 30, 40, 7, 0)
-	c.insert(node, 50, 60, 9, 0)
-	if _, ok := c.lookup(node, 15, 0); !ok {
+	fillOne(c, node, 30, 40, 7, 0)
+	fillOne(c, node, 50, 60, 9, 0)
+	if _, ok := lookupOne(c, node, 15, 0); !ok {
 		t.Fatal("refresh hit failed")
 	}
-	c.insert(node, 70, 80, 11, 0) // overflow: evicts (30,40]
-	if _, ok := c.lookup(node, 35, 0); ok {
+	fillOne(c, node, 70, 80, 11, 0) // overflow: evicts (30,40]
+	if _, ok := lookupOne(c, node, 35, 0); ok {
 		t.Fatal("evicted slot still hit")
 	}
 	if s := c.statsSnapshot(); s.Evictions != 1 || s.Size != 3 {
 		t.Fatalf("stats = %+v, want 1 eviction at size 3", s)
 	}
 	// Generation change purges everything.
-	if _, ok := c.lookup(node, 55, 1); ok {
+	if _, ok := lookupOne(c, node, 55, 1); ok {
 		t.Fatal("hit across a generation change")
 	}
 	if s := c.statsSnapshot(); s.Stale != 1 || s.Size != 0 {
@@ -282,11 +315,11 @@ func TestEntryCacheBasics(t *testing.T) {
 
 func TestEntryCacheMinKey(t *testing.T) {
 	c := newEntryCache(4, nil, 0)
-	c.insert(0, catalog.MinusInf, 100, 0, 0)
-	if pos, ok := c.lookup(0, 5, 0); !ok || pos != 0 {
+	fillOne(c, 0, catalog.MinusInf, 100, 0, 0)
+	if pos, ok := lookupOne(c, 0, 5, 0); !ok || pos != 0 {
 		t.Fatalf("lookup below first key = (%d, %v), want (0, true)", pos, ok)
 	}
-	if _, ok := c.lookup(0, catalog.MinusInf, 0); ok {
+	if _, ok := lookupOne(c, 0, catalog.MinusInf, 0); ok {
 		t.Fatal("MinusInf itself must miss (lo is exclusive)")
 	}
 }

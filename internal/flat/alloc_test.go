@@ -2,9 +2,9 @@ package flat_test
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
+	"fraccascade/internal/allocguard"
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
@@ -12,21 +12,10 @@ import (
 	"fraccascade/internal/tree"
 )
 
-// skipIfGuardDisabled honours the repo-wide performance-guard escape hatch
-// (FRACCASCADE_GUARD=skip), mirroring the batch throughput guard: alloc
-// counts are runtime behaviour, not correctness, so constrained CI
-// environments can opt out without weakening the functional suites.
-func skipIfGuardDisabled(t *testing.T) {
-	t.Helper()
-	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
-		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
-	}
-}
-
 // TestSearchPathIntoZeroAllocs pins the tentpole's core claim: the flat
 // sequential hot path allocates nothing per query.
 func TestSearchPathIntoZeroAllocs(t *testing.T) {
-	skipIfGuardDisabled(t)
+	allocguard.Skip(t)
 	st, f, rng := buildFrozen(t, 1<<6, 6000, 40)
 	bt := st.Tree()
 	leaf := tree.NodeID(bt.N() - 1 - rng.Intn(1<<6))
@@ -46,7 +35,7 @@ func TestSearchPathIntoZeroAllocs(t *testing.T) {
 // TestSearchExplicitIntoZeroAllocs extends the zero-alloc guarantee to the
 // cooperative search replica (the path the engine's flat backend serves).
 func TestSearchExplicitIntoZeroAllocs(t *testing.T) {
-	skipIfGuardDisabled(t)
+	allocguard.Skip(t)
 	st, f, rng := buildFrozen(t, 1<<6, 6000, 41)
 	bt := st.Tree()
 	leaf := tree.NodeID(bt.N() - 1 - rng.Intn(1<<6))
@@ -69,7 +58,7 @@ func TestSearchExplicitIntoZeroAllocs(t *testing.T) {
 // the pool has warmed up, dispatching a whole batch allocates nothing (all
 // batch state lives in caller-provided slices; workers park on channels).
 func TestWallBatchZeroAllocs(t *testing.T) {
-	skipIfGuardDisabled(t)
+	allocguard.Skip(t)
 	st, f, rng := buildFrozen(t, 1<<6, 6000, 42)
 	bt := st.Tree()
 	const batch = 32
@@ -107,7 +96,7 @@ func TestWallBatchZeroAllocs(t *testing.T) {
 // fixed handful of slice headers plus a fixed handful per substructure,
 // independent of node and entry counts.
 func TestFreezeAllocsBounded(t *testing.T) {
-	skipIfGuardDisabled(t)
+	allocguard.Skip(t)
 	rng := rand.New(rand.NewSource(43))
 	bt, err := tree.NewBalancedBinary(1 << 6)
 	if err != nil {

@@ -87,6 +87,12 @@ func (l *Locator) locateCoopCtl(ctx context.Context, q geom.Point, p int, census
 	ds.Stats = core.Stats{Sub: si, P: start}
 	stats := &ds.Stats
 
+	sc, _ := l.scratch.Get().(*hopScratch)
+	if sc == nil {
+		sc = new(hopScratch)
+	}
+	defer l.scratch.Put(sc)
+
 	lr := l.initLR()
 	v := l.t.Root()
 	rootCat := l.st.Cascade().Aug(v)
@@ -132,7 +138,7 @@ func (l *Locator) locateCoopCtl(ctx context.Context, q geom.Point, p int, census
 			continue
 		}
 		var err error
-		v, pos, err = l.hop(sub, block, q, pos, &lr, stats)
+		v, pos, err = l.hop(sub, block, q, pos, &lr, stats, sc)
 		if err != nil {
 			return 0, ds, err
 		}
@@ -146,13 +152,15 @@ func (l *Locator) locateCoopCtl(ctx context.Context, q geom.Point, p int, census
 	return r, ds, nil
 }
 
-// hop executes one parallel hop of Section 3.1 over block U.
-func (l *Locator) hop(sub *core.Substructure, block *core.Block, q geom.Point, pos int, lr *lrState, stats *core.Stats) (tree.NodeID, int, error) {
+// hop executes one parallel hop of Section 3.1 over block U, keeping its
+// per-node state in sc.
+func (l *Locator) hop(sub *core.Substructure, block *core.Block, q geom.Point, pos int, lr *lrState, stats *core.Stats, sc *hopScratch) (tree.NodeID, int, error) {
 	// Step 1: find(y, σ) for every node of U via the Lemma 3 windows.
-	findPos, slots, err := l.st.FindAllInBlock(sub, block, q.Y, pos)
+	findPos, slots, err := l.st.FindAllInBlock(sc.findPos, sub, block, q.Y, pos)
 	if err != nil {
 		return tree.Nil, 0, err
 	}
+	sc.findPos = findPos
 	stats.SlotsTotal += slots
 	if int(slots) > stats.SlotsPeak {
 		stats.SlotsPeak = int(slots)
@@ -161,8 +169,8 @@ func (l *Locator) hop(sub *core.Substructure, block *core.Block, q geom.Point, p
 	// Step 2: discriminate q at active nodes; steps 3–4: fold each
 	// discrimination into the monotone (L, R) bracket.
 	n := len(block.Nodes)
-	branchRight := make([]bool, n)
-	decided := make([]bool, n)
+	sc.forBlock(n)
+	branchRight, decided := sc.branchRight, sc.decided
 	var activeForDebug []pairCandidate
 	for z := 0; z < n; z++ {
 		node := block.Nodes[z]

@@ -40,7 +40,7 @@ func TestFig6BranchConsistencyWithinBlock(t *testing.T) {
 				t.Fatal("no root block")
 			}
 			pos := l.st.Cascade().Aug(l.t.Root()).Succ(pt.Y)
-			findPos, _, err := l.st.FindAllInBlock(sub, block, pt.Y, pos)
+			findPos, _, err := l.st.FindAllInBlock(nil, sub, block, pt.Y, pos)
 			if err != nil {
 				t.Fatal(err)
 			}

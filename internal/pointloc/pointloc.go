@@ -31,6 +31,7 @@ package pointloc
 
 import (
 	"fmt"
+	"sync"
 
 	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
@@ -58,9 +59,34 @@ type Locator struct {
 	sepNode []tree.NodeID
 	lca     *tree.LCAIndex
 
+	// scratch recycles hopScratch across locates, so a query allocates
+	// nothing once the pool is warm.
+	scratch sync.Pool
+
 	// Debug enables exhaustive uniqueness checks of the Step-3 active
 	// pair; tests turn it on.
 	Debug bool
+}
+
+// hopScratch is one locate's reusable per-hop state, indexed by local
+// block node: the Lemma 3 find positions and the branch decisions. One
+// scratch serves one query at a time.
+type hopScratch struct {
+	findPos     []int32
+	branchRight []bool
+	decided     []bool
+}
+
+// forBlock sizes the branch slices for an n-node block and clears them.
+func (sc *hopScratch) forBlock(n int) {
+	if cap(sc.branchRight) < n {
+		sc.branchRight = make([]bool, n)
+		sc.decided = make([]bool, n)
+	}
+	sc.branchRight = sc.branchRight[:n]
+	sc.decided = sc.decided[:n]
+	clear(sc.branchRight)
+	clear(sc.decided)
 }
 
 // Build preprocesses the subdivision. cfg tunes the underlying cooperative

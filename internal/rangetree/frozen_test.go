@@ -2,9 +2,9 @@ package rangetree
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
+	"fraccascade/internal/allocguard"
 	"fraccascade/internal/core"
 )
 
@@ -145,9 +145,7 @@ func diffIDs(t *testing.T, caseSeed int64, what string, got, want []int32) {
 // scratch and output buffers have warmed up, direct, indirect, and count
 // queries allocate nothing.
 func TestFrozen2DZeroAllocs(t *testing.T) {
-	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
-		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
-	}
+	allocguard.Skip(t)
 	rng := rand.New(rand.NewSource(21))
 	pts := randPoints(400, 600, rng)
 	rt, err := New2D(pts, core.Config{})

@@ -2,9 +2,9 @@ package segtree
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
+	"fraccascade/internal/allocguard"
 	"fraccascade/internal/core"
 )
 
@@ -134,9 +134,7 @@ func diffSegIDs(t *testing.T, caseSeed int64, what string, got, want []int32) {
 // paths: once the scratch and output buffers have warmed up, direct and
 // indirect queries allocate nothing.
 func TestFrozenIntersectorZeroAllocs(t *testing.T) {
-	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
-		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
-	}
+	allocguard.Skip(t)
 	rng := rand.New(rand.NewSource(31))
 	segs := randSegments(400, 600, rng)
 	it, err := NewIntersector(segs, core.Config{})

@@ -69,6 +69,8 @@ func (l *Locator) locateCtl(ctx context.Context, x, y, z int64, p int, census Ce
 		return 1, ds, nil
 	}
 	stats := &ds.Stats
+	sc := l.getScratch()
+	defer l.scratch.Put(sc)
 	h := l.hopHeight(p)
 	br := bracket{maxEL: 0, minER: int32(l.r)}
 	v := l.t.Root()
@@ -95,7 +97,7 @@ func (l *Locator) locateCtl(ctx context.Context, x, y, z int64, p int, census Ce
 			}
 		}
 		var err error
-		v, err = l.locateStep(v, x, y, z, p, h, &br, stats)
+		v, err = l.locateStep(v, x, y, z, p, h, &br, stats, sc)
 		if err != nil {
 			return 0, ds, err
 		}

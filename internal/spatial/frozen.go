@@ -33,10 +33,10 @@ type Frozen struct {
 	slabFacets    []int32
 }
 
-// Scratch is the reusable per-goroutine state of a frozen locate: the hop
-// BFS frontier, the gap list, and the branch directions the pointer path
-// keeps in a map. One scratch serves one query at a time; concurrent
-// queries need one scratch each.
+// Scratch is the reusable per-goroutine state of a locate (frozen or
+// pointer): the hop BFS frontier, the gap list, and the branch direction
+// of every node the hop discriminated. One scratch serves one query at a
+// time; concurrent queries need one scratch each.
 type Scratch struct {
 	nodes []int32
 	gaps  []int32
@@ -44,12 +44,22 @@ type Scratch struct {
 }
 
 // NewScratch returns a scratch sized for this structure.
-func (f *Frozen) NewScratch() *Scratch {
-	n := int(f.n)
+func (f *Frozen) NewScratch() *Scratch { return newScratch(int(f.n)) }
+
+// newScratch returns a scratch for a surface tree of n nodes.
+func newScratch(n int) *Scratch {
 	return &Scratch{
 		nodes: make([]int32, 0, n),
 		gaps:  make([]int32, 0, n),
 		dir:   make([]uint8, n),
+	}
+}
+
+// resetDir clears the direction bits of the nodes visited by the last hop,
+// so the scratch array never needs a full wipe.
+func (sc *Scratch) resetDir() {
+	for _, u := range sc.nodes {
+		sc.dir[u] = 0
 	}
 }
 
@@ -339,7 +349,7 @@ func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats
 		}
 	}
 	if br.maxEL >= br.minER {
-		f.resetDir(sc)
+		sc.resetDir()
 		return v, fmt.Errorf("spatial: inconsistent bracket (%d, %d)", br.maxEL, br.minER)
 	}
 	for _, u := range sc.gaps {
@@ -357,16 +367,8 @@ func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats
 		}
 		v = f.children[int(f.childStart[v])+ci]
 	}
-	f.resetDir(sc)
+	sc.resetDir()
 	return v, nil
-}
-
-// resetDir clears the direction bits of the nodes visited by the last hop,
-// so the scratch array never needs a full wipe.
-func (f *Frozen) resetDir(sc *Scratch) {
-	for _, u := range sc.nodes {
-		sc.dir[u] = 0
-	}
 }
 
 // MarshalBinary encodes the frozen locator as a spatial-kind store.

@@ -2,8 +2,9 @@ package spatial
 
 import (
 	"math/rand"
-	"os"
 	"testing"
+
+	"fraccascade/internal/allocguard"
 )
 
 // frozenBaseSeed anchors the differential: case c runs with seed
@@ -89,9 +90,7 @@ func runFrozenCase(t *testing.T, c int, caseSeed int64) {
 // TestFrozenLocateZeroAllocs pins the frozen spatial hot path: after the
 // scratch has warmed up, a cooperative locate allocates nothing.
 func TestFrozenLocateZeroAllocs(t *testing.T) {
-	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
-		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
-	}
+	allocguard.Skip(t)
 	rng := rand.New(rand.NewSource(11))
 	cx := mustGen(t, 200, 6, rng)
 	l, err := NewLocator(cx)

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"fmt"
+	"sync"
 
 	"fraccascade/internal/buildpool"
 	"fraccascade/internal/tree"
@@ -31,8 +32,20 @@ type Locator struct {
 	cell   []int32 // leaf -> cell index
 	locs   []nodeLocator
 
+	// scratch recycles *Scratch across locates, so a query allocates
+	// nothing once the pool is warm.
+	scratch sync.Pool
+
 	// Debug enables internal invariant checks.
 	Debug bool
+}
+
+// getScratch returns a pooled scratch sized for the surface tree.
+func (l *Locator) getScratch() *Scratch {
+	if sc, ok := l.scratch.Get().(*Scratch); ok {
+		return sc
+	}
+	return newScratch(l.t.N())
 }
 
 // Cells returns the real cell count of the located complex.
@@ -170,7 +183,7 @@ func (l *Locator) checkQuery(x, y, z int64) error {
 // O(log n) surface discriminations of O(log n) each, matching the
 // canal-tree bound of Chazelle cited in Section 3.2.
 func (l *Locator) LocateSeq(x, y, z int64) (int, error) {
-	cell, _, err := l.locate(x, y, z, 1)
+	cell, _, err := l.locateCtl(nil, x, y, z, 1, nil)
 	return cell, err
 }
 
@@ -178,35 +191,8 @@ func (l *Locator) LocateSeq(x, y, z int64) (int, error) {
 // processors: hops of Θ(log p) levels, each discriminating all the
 // surfaces of the hop's subtree in parallel.
 func (l *Locator) LocateCoop(x, y, z int64, p int) (int, Stats, error) {
-	if p < 1 {
-		p = 1
-	}
-	return l.locate(x, y, z, p)
-}
-
-func (l *Locator) locate(x, y, z int64, p int) (int, Stats, error) {
-	var stats Stats
-	if err := l.checkQuery(x, y, z); err != nil {
-		return 0, stats, err
-	}
-	if l.r == 1 {
-		return 1, stats, nil
-	}
-	h := l.hopHeight(p)
-	br := bracket{maxEL: 0, minER: int32(l.r)}
-	v := l.t.Root()
-	for !l.t.IsLeaf(v) {
-		var err error
-		v, err = l.locateStep(v, x, y, z, p, h, &br, &stats)
-		if err != nil {
-			return 0, stats, err
-		}
-	}
-	cell := int(l.cell[v])
-	if cell > l.r {
-		return 0, stats, fmt.Errorf("spatial: query landed in dummy cell %d", cell)
-	}
-	return cell, stats, nil
+	cell, ds, err := l.locateCtl(nil, x, y, z, p, nil)
+	return cell, ds.Stats, err
 }
 
 // hopHeight returns the hop height Θ(log p), capped so a hop's node count
@@ -220,8 +206,9 @@ func (l *Locator) hopHeight(p int) int {
 }
 
 // locateStep advances the search one iteration from v: a single sequential
-// discrimination when h == 1 or p == 1, otherwise one h-level hop.
-func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket, stats *Stats) (tree.NodeID, error) {
+// discrimination when h == 1 or p == 1, otherwise one h-level hop whose
+// frontier, gap list and branch directions live in sc.
+func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket, stats *Stats, sc *Scratch) (tree.NodeID, error) {
 	if h == 1 || p == 1 {
 		goRight, rounds, err := l.discriminate(v, x, y, z, br, p)
 		if err != nil {
@@ -245,7 +232,7 @@ func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket
 		levels = l.height - d
 	}
 	// Collect subtree nodes BFS.
-	nodes := []tree.NodeID{v}
+	nodes := append(sc.nodes[:0], v)
 	depth0 := l.t.Depth(v)
 	for qi := 0; qi < len(nodes); qi++ {
 		u := nodes[qi]
@@ -254,18 +241,18 @@ func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket
 		}
 		nodes = append(nodes, l.t.Children(u)...)
 	}
+	sc.nodes = nodes
+	defer sc.resetDir()
 	pShare := p / len(nodes)
 	if pShare < 1 {
 		pShare = 1
 	}
-	goRight := make(map[tree.NodeID]bool, len(nodes))
 	maxRounds := 0
 	// First pass: facet hits update the bracket; second pass resolves
 	// gap nodes (ancestors of any gap node within range were either
 	// discriminated in this pass or earlier, so the bracket covers
 	// them — same argument as planar Step 5).
-	type gapNode struct{ u tree.NodeID }
-	var gaps []gapNode
+	gaps := sc.gaps[:0]
 	for _, u := range nodes {
 		if l.t.IsLeaf(u) {
 			continue
@@ -275,12 +262,12 @@ func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket
 			maxRounds = rounds
 		}
 		if id < 0 {
-			gaps = append(gaps, gapNode{u})
+			gaps = append(gaps, u)
 			continue
 		}
 		f := l.c.Facets[id]
 		if z > f.Z {
-			goRight[u] = true
+			sc.dir[u] = 1
 			hi := f.Above - 1
 			if hi > int32(l.r-1) {
 				hi = int32(l.r - 1)
@@ -298,18 +285,21 @@ func (l *Locator) locateStep(v tree.NodeID, x, y, z int64, p, h int, br *bracket
 			}
 		}
 	}
+	sc.gaps = gaps
 	if br.maxEL >= br.minER {
 		return v, fmt.Errorf("spatial: inconsistent bracket (%d, %d)", br.maxEL, br.minER)
 	}
-	for _, g := range gaps {
-		goRight[g.u] = l.sep[g.u] <= br.maxEL
+	for _, u := range gaps {
+		if l.sep[u] <= br.maxEL {
+			sc.dir[u] = 1
+		}
 	}
 	stats.DiscrimRounds += maxRounds
 	stats.Steps += maxRounds + 2
 	stats.Hops++
 	for lvl := 0; lvl < levels && !l.t.IsLeaf(v); lvl++ {
 		ci := 0
-		if goRight[v] {
+		if sc.dir[v] == 1 {
 			ci = 1
 		}
 		v = l.t.Children(v)[ci]
